@@ -233,6 +233,32 @@ class NumericColumn(Column):
         return super()._is_key_like()
 
 
+class _LabelIndex:
+    """The label -> code map of one dictionary tuple, built on first use.
+
+    Columns derived from one another share the dictionary tuple *and*
+    this holder, so the O(dictionary) map behind :meth:`concat` is built
+    once per dictionary instead of once per append.  The map never
+    travels in a pickle; an unpickled column rebuilds it on demand.
+    """
+
+    __slots__ = ("_mapping",)
+
+    def __init__(self) -> None:
+        self._mapping: dict[str, int] | None = None
+
+    def __reduce__(self):
+        return (_LabelIndex, ())
+
+    def of(self, categories: tuple[str, ...]) -> dict[str, int]:
+        """The map for ``categories`` (the tuple this holder belongs to)."""
+        mapping = self._mapping
+        if mapping is None:
+            mapping = {label: code for code, label in enumerate(categories)}
+            self._mapping = mapping
+        return mapping
+
+
 class CategoricalColumn(Column):
     """Dictionary-encoded label column.
 
@@ -241,7 +267,7 @@ class CategoricalColumn(Column):
     order-preserving with respect to construction.
     """
 
-    __slots__ = ("_codes", "_categories")
+    __slots__ = ("_codes", "_categories", "_index")
 
     def __init__(self, name: str, codes: np.ndarray, categories: Sequence[str]):
         super().__init__(name)
@@ -258,6 +284,33 @@ class CategoricalColumn(Column):
             raise DatasetError(f"categorical column {name!r} has out-of-range codes")
         self._codes = _as_readonly(codes)
         self._categories = categories
+        self._index = _LabelIndex()
+
+    @classmethod
+    def _trusted(
+        cls,
+        name: str,
+        codes: np.ndarray,
+        categories: tuple[str, ...],
+        index: _LabelIndex,
+    ) -> "CategoricalColumn":
+        """Unvalidated constructor for columns derived from valid ones.
+
+        ``categories`` is an already-validated tuple (unique ``str``
+        labels) and ``index`` its label map holder, both shared rather
+        than copied so derived columns keep the receiver's dictionary by
+        identity; ``codes`` is a fresh int32 array the caller owns,
+        already in range.  Re-running the public checks here would cost
+        O(dictionary) per ``take``/``filter``/``concat`` — the dominant
+        per-append cost on text columns.
+        """
+        clone = cls.__new__(cls)
+        Column.__init__(clone, name)
+        codes.setflags(write=False)
+        clone._codes = codes
+        clone._categories = categories
+        clone._index = index
+        return clone
 
     @classmethod
     def from_values(cls, name: str, values: Iterable[object]) -> "CategoricalColumn":
@@ -300,21 +353,25 @@ class CategoricalColumn(Column):
         return int(self._codes.shape[0])
 
     def take(self, indices: np.ndarray) -> "CategoricalColumn":
-        return CategoricalColumn(
-            self.name, self._codes[np.asarray(indices)], self._categories
+        return CategoricalColumn._trusted(
+            self.name,
+            self._codes[np.asarray(indices)],
+            self._categories,
+            self._index,
         )
 
     def filter(self, mask: np.ndarray) -> "CategoricalColumn":
-        return CategoricalColumn(
-            self.name, self._codes[np.asarray(mask, dtype=bool)], self._categories
+        return CategoricalColumn._trusted(
+            self.name,
+            self._codes[np.asarray(mask, dtype=bool)],
+            self._categories,
+            self._index,
         )
 
     def rename(self, name: str) -> "CategoricalColumn":
-        clone = CategoricalColumn.__new__(CategoricalColumn)
-        Column.__init__(clone, name)
-        clone._codes = self._codes
-        clone._categories = self._categories
-        return clone
+        return CategoricalColumn._trusted(
+            name, self._codes, self._categories, self._index
+        )
 
     def concat(self, other: "Column") -> "CategoricalColumn":
         if not isinstance(other, CategoricalColumn):
@@ -322,25 +379,79 @@ class CategoricalColumn(Column):
                 f"cannot concatenate categorical column {self.name!r} with "
                 f"a {other.kind} column"
             )
+        mine, theirs = self._categories, other._categories
+        if _is_prefix(theirs, mine) or _is_prefix(mine, theirs):
+            # One dictionary is a prefix of the other (the same tuple in
+            # the common streaming case): codes already agree, no
+            # per-label work, and the longer dictionary is the union.
+            longer = self if len(mine) >= len(theirs) else other
+            return CategoricalColumn._trusted(
+                self.name,
+                np.concatenate([self._codes, other._codes]),
+                longer._categories,
+                longer._index,
+            )
         # Union dictionaries order-preservingly: existing categories keep
         # their codes, fresh labels from `other` are appended, so the
         # parent's code array transfers verbatim and only the delta rows
         # are remapped.
-        categories = list(self._categories)
-        index = {label: code for code, label in enumerate(categories)}
-        remap = np.empty(len(other._categories) + 1, dtype=np.int32)
+        index = self._index.of(mine)
+        added: list[str] = []
+        remap = np.empty(len(theirs) + 1, dtype=np.int32)
         remap[-1] = MISSING_CODE  # other code -1 indexes the last slot
-        for code, label in enumerate(other._categories):
+        for code, label in enumerate(theirs):
             mapped = index.get(label)
             if mapped is None:
-                mapped = len(categories)
-                index[label] = mapped
-                categories.append(label)
+                mapped = len(mine) + len(added)
+                added.append(label)
             remap[code] = mapped
-        return CategoricalColumn(
+        codes = np.concatenate([self._codes, remap[other._codes]])
+        if not added:
+            return CategoricalColumn._trusted(
+                self.name, codes, mine, self._index
+            )
+        return CategoricalColumn._trusted(
+            self.name, codes, mine + tuple(added), _LabelIndex()
+        )
+
+    def compact_against(
+        self, receiver: "CategoricalColumn"
+    ) -> "CategoricalColumn":
+        """This column as a delta for ``receiver``, dictionary trimmed.
+
+        Keeps two kinds of label, in their original relative order:
+        labels this column's rows use, and labels ``receiver``'s
+        dictionary lacks.  Every other label is one the receiver
+        already holds and no row references, so
+        ``receiver.concat(compact)`` equals ``receiver.concat(self)``
+        in codes and dictionary order — but a delta sliced from a much
+        wider source no longer carries that source's whole dictionary.
+        Returns ``self`` when nothing can be dropped.
+        """
+        categories, base = self._categories, receiver._categories
+        valid = self._codes != MISSING_CODE
+        present = self._codes[valid]
+        used = np.unique(present)
+        if used.size == len(categories):
+            return self
+        if _is_prefix(categories, base):
+            keep = used  # the receiver holds every label
+        elif _is_prefix(base, categories):
+            fresh = np.arange(len(base), len(categories))
+            keep = np.concatenate([used[used < len(base)], fresh])
+        else:
+            known = receiver._index.of(base)
+            lacking = [code for code, label in enumerate(categories) if label not in known]
+            keep = np.union1d(used, np.asarray(lacking, dtype=used.dtype))
+        if keep.size == len(categories):
+            return self
+        codes = np.full(len(self), MISSING_CODE, dtype=np.int32)
+        codes[valid] = np.searchsorted(keep, present)
+        return CategoricalColumn._trusted(
             self.name,
-            np.concatenate([self._codes, remap[other._codes]]),
-            categories,
+            codes,
+            tuple([categories[i] for i in keep.tolist()]),
+            _LabelIndex(),
         )
 
     def missing_mask(self) -> np.ndarray:
@@ -363,6 +474,14 @@ class CategoricalColumn(Column):
             None if code == MISSING_CODE else self._categories[code]
             for code in self._codes
         ]
+
+
+def _is_prefix(short: tuple[str, ...], long: tuple[str, ...]) -> bool:
+    """True when ``short`` equals the first ``len(short)`` labels of
+    ``long`` (identity first: derived columns share one tuple)."""
+    if short is long:
+        return True
+    return len(short) <= len(long) and long[: len(short)] == short
 
 
 def column_from_values(name: str, values: Iterable[object]) -> Column:

@@ -237,6 +237,18 @@ class Table:
         mapping — replaying a recorded delta through :meth:`append`
         reproduces the appended table bit for bit, including the
         dictionary-union order of categorical columns.
+
+        Categorical delta columns are **compacted**: each keeps only
+        the labels its rows use plus the labels this table's dictionary
+        lacks, in their original relative order
+        (:meth:`~repro.dataset.column.CategoricalColumn.compact_against`).
+        The dropped labels are ones this table already holds and no
+        delta row references, so ``self.append(self.coerce_delta(d))``
+        equals ``self.append(d)`` in codes, dictionary order and
+        version, while a delta sliced from a wider source (``take`` of
+        a table with a large dictionary) costs — and journals — its
+        batch, not the source's dictionary.  A mapping, or a delta
+        with nothing to drop, comes back with its columns unchanged.
         """
         return self._coerce_delta(rows)
 
@@ -274,7 +286,14 @@ class Table:
                     f"{delta.column(col_name).kind}, expected "
                     f"{self._columns[col_name].kind}"
                 )
-        return delta
+        columns = [
+            col.compact_against(self.categorical(col.name))
+            if isinstance(col, CategoricalColumn) else col
+            for col in delta.columns
+        ]
+        if all(kept is col for kept, col in zip(columns, delta.columns)):
+            return delta
+        return delta._derived(columns, None)
 
     def _delta_column(self, col_name: str, values: Iterable[object]) -> Column:
         """Build one delta column with the kind of the existing column."""

@@ -115,6 +115,118 @@ class TestCategoricalColumn:
             col.codes[0] = 0
 
 
+def union_concat(left: CategoricalColumn, right: CategoricalColumn):
+    """The general dictionary union, label by label (reference)."""
+    categories = list(left.categories)
+    for label in right.categories:
+        if label not in categories:
+            categories.append(label)
+    remap = [categories.index(label) for label in right.categories]
+    codes = left.codes.tolist() + [
+        MISSING_CODE if code == MISSING_CODE else remap[code]
+        for code in right.codes
+    ]
+    return codes, tuple(categories)
+
+
+class TestSharedDictionaries:
+    """Derived columns share the receiver's validated dictionary."""
+
+    @pytest.fixture
+    def col(self) -> CategoricalColumn:
+        return CategoricalColumn.from_values("c", ["a", "b", None, "c", "a"])
+
+    def test_take_filter_rename_share_the_tuple(self, col):
+        assert col.take(np.array([3, 0])).categories is col.categories
+        mask = np.array([True, False, True, False, True])
+        assert col.filter(mask).categories is col.categories
+        renamed = col.rename("d")
+        assert renamed.categories is col.categories
+        assert renamed.name == "d"
+
+    def test_derived_codes_stay_readonly(self, col):
+        derived = (col.take(np.array([0, 1])), col.rename("d"), col.concat(col))
+        for column in derived:
+            with pytest.raises(ValueError):
+                column.codes[0] = 0
+
+    def test_concat_without_new_labels_returns_receiver_tuple(self, col):
+        subset = CategoricalColumn.from_values("c", ["c", None, "a"])
+        for other in (col, col.take(np.array([1])), subset):
+            assert col.concat(other).categories is col.categories
+        codes, categories = union_concat(col, subset)
+        joined = col.concat(subset)
+        assert joined.codes.tolist() == codes
+        assert joined.categories == categories
+
+    @pytest.mark.parametrize(
+        "dictionary", [["a", "b"], ["a", "b", "c"], ["a", "b", "c", "x", "y"]]
+    )
+    def test_prefix_equal_and_extension_match_the_union(self, col, dictionary):
+        other = CategoricalColumn(
+            "c",
+            np.array([len(dictionary) - 1, MISSING_CODE, 0]),
+            dictionary,
+        )
+        codes, categories = union_concat(col, other)
+        joined = col.concat(other)
+        assert joined.codes.tolist() == codes
+        assert joined.categories == categories
+        if len(dictionary) > 3:
+            assert joined.categories is other.categories
+
+    def test_permuted_dictionary_matches_the_union(self, col):
+        other = CategoricalColumn(
+            "c", np.array([0, 1, 2, 3, MISSING_CODE]), ["y", "c", "a", "x"]
+        )
+        codes, categories = union_concat(col, other)
+        joined = col.concat(other)
+        assert joined.codes.tolist() == codes
+        assert joined.categories == categories == ("a", "b", "c", "y", "x")
+
+    def test_public_constructor_still_validates(self, col):
+        with pytest.raises(DatasetError, match="duplicate"):
+            CategoricalColumn("c", np.array([0]), list(col.categories) + ["a"])
+        with pytest.raises(DatasetError, match="out-of-range"):
+            CategoricalColumn("c", np.array([3]), col.categories)
+        with pytest.raises(DatasetError, match="out-of-range"):
+            CategoricalColumn("c", np.array([-2]), col.categories)
+
+
+class TestCompactAgainst:
+    """A delta's dictionary shrinks to used + receiver-lacking labels."""
+
+    @pytest.fixture
+    def receiver(self) -> CategoricalColumn:
+        return CategoricalColumn.from_values("c", ["a", "b", "c", "d"])
+
+    def test_shared_dictionary_keeps_only_used_labels(self, receiver):
+        delta = receiver.take(np.array([3, 1, 3]))
+        compact = delta.compact_against(receiver)
+        assert compact.categories == ("b", "d")
+        assert compact.decode() == ["d", "b", "d"]
+
+    def test_extension_keeps_every_fresh_label(self, receiver):
+        delta = CategoricalColumn(
+            "c", np.array([1, MISSING_CODE]), ["a", "b", "c", "d", "y", "x"]
+        )
+        compact = delta.compact_against(receiver)
+        assert compact.categories == ("b", "y", "x")
+        assert compact.decode() == ["b", None]
+
+    def test_general_dictionary_keeps_order(self, receiver):
+        delta = CategoricalColumn(
+            "c", np.array([3, 4]), ["x", "d", "zz", "a", "b"]
+        )
+        compact = delta.compact_against(receiver)
+        assert compact.categories == ("x", "zz", "a", "b")
+        assert compact.decode() == ["a", "b"]
+
+    def test_nothing_to_drop_returns_self(self, receiver):
+        delta = CategoricalColumn.from_values("c", ["x", "a", None])
+        assert delta.compact_against(receiver) is delta
+
+
 class TestRoleClassification:
     def test_low_cardinality_is_dimension(self):
         col = CategoricalColumn.from_values("c", ["a", "b"] * 50)
